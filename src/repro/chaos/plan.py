@@ -2,8 +2,7 @@
 
 A :class:`FaultPlan` is the deterministic description of *everything*
 that will go wrong during one campaign: which worker evaluations
-crash/hang/raise (generalizing the legacy one-shot
-``WorkerSpec.fault`` tuple), which named crash point SIGKILLs the
+crash/hang/raise, which named crash point SIGKILLs the
 campaign process on which hit, and which state-file writes are torn,
 refused (ENOSPC), fsync-degraded, or corrupted.  Plans round-trip
 through JSON so a failure scenario found by the seeded fuzzer can be

@@ -41,7 +41,6 @@ import math
 import signal as _signal
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -50,7 +49,7 @@ from ..chaos import ChaosEngine, FaultPlan
 from ..chaos import hooks as _chaos_hooks
 from ..chaos.hooks import crash_point
 from ..errors import CampaignError, ConfigSchemaError, ReproError
-from ..obs.bus import EventBus, subscribes_to
+from ..obs.bus import EventBus
 from ..obs.collectors import MetricsCollector
 from ..obs.events import (BackendSelected, BatchCompleted, BatchStarted,
                           CacheWarnings, CampaignFinished, CampaignStarted,
@@ -92,9 +91,8 @@ class CampaignConfig:
     """Experiment-level constants (paper §IV-A) plus execution knobs.
 
     The config is the single home for everything :func:`run_campaign`
-    needs besides the model and its (injectable) collaborators — the
-    former kwarg sprawl (``seed``/``workers``/``cache_dir``/
-    ``journal_dir``/``resume_from``/``batch_callback``) now lives here;
+    needs besides the model and its (injectable) collaborators — seed,
+    workers, cache/journal/trace directories, resume, subscribers;
     derive variations with :meth:`overriding`.
     """
 
@@ -396,9 +394,16 @@ class BatchTelemetry:
         }
 
 
+#: Row sources whose evaluation this batch paid for; every other row
+#: (memory, disk, replay) is a hit charging ~0 node-seconds.
+_CHARGED_SOURCES = ("fresh", "worker-failure")
+
+
 @dataclass
 class _BatchStats:
-    """Mutable counters threaded through one ``_evaluate`` call."""
+    """Mutable counters threaded through one ``_evaluate`` call, plus
+    ``commit(vid, record, synthesized=False, wall_seconds=None)``: the
+    pipeline step the run step hands each evaluated record to."""
 
     dispatched: int = 0
     completed: int = 0
@@ -411,6 +416,7 @@ class _BatchStats:
     quarantined: int = 0
     vector_lanes: int = 0
     fallback_lanes: int = 0
+    commit: Optional[Callable[..., None]] = None
 
 
 @dataclass
@@ -464,10 +470,12 @@ def _signal_guard(flag: InterruptFlag, enabled: bool):
 class BudgetedOracle:
     """Batch oracle enforcing the node pool and wall-clock budget.
 
-    Evaluates serially in-process; :class:`repro.core.parallel
-    .ParallelOracle` overrides :meth:`_evaluate` to fan batches out to a
-    worker pool.  Both honour the persistent result cache and charge ~0
-    simulated node-seconds for cache hits.
+    Evaluates in-process — variant by variant, or one lockstep sweep
+    per wave under the ``batched`` backend; :class:`repro.core.parallel
+    .ParallelOracle` overrides only the run step (:meth:`_run_tasks`) to
+    fan misses out to a worker pool.  Every oracle shares one batch
+    pipeline (:meth:`_evaluate`), honours the persistent result cache,
+    and charges ~0 simulated node-seconds for cache hits.
     """
 
     evaluator: Evaluator
@@ -475,7 +483,6 @@ class BudgetedOracle:
     cache: Optional[ResultCache] = None
     wall_seconds_used: float = 0.0
     evaluations: int = 0
-    batch_log: list[tuple[int, float]] = field(default_factory=list)
     telemetry: list[BatchTelemetry] = field(default_factory=list)
     #: Crash-safety collaborators, wired up by :func:`run_campaign`.
     journal: Optional[CampaignJournal] = None
@@ -487,10 +494,6 @@ class BudgetedOracle:
     #: before; :func:`run_campaign` wires live ones.
     bus: EventBus = field(default_factory=EventBus)
     tracer: Tracer = field(default_factory=Tracer)
-    #: Deprecated per-batch callback — superseded by bus subscribers
-    #: (``CampaignConfig.subscribers`` with
-    #: ``subscribes_to(BatchTelemetry)``); still honoured when set.
-    batch_callback: Optional[Callable[[BatchTelemetry], None]] = None
 
     def evaluate_batch(
         self, assignments: list[PrecisionAssignment]
@@ -553,7 +556,6 @@ class BudgetedOracle:
                         stage, wall_seconds=batch_wall * sim / batch_seconds,
                         sim_seconds=sim, attrs={"batch": batch_index})
         self.wall_seconds_used += batch_seconds
-        self.batch_log.append((len(records), batch_seconds))
         if self.journal is not None:
             self.journal.batch_done(batch_index, batch_seconds,
                                     self.wall_seconds_used, self.evaluations)
@@ -577,8 +579,6 @@ class BudgetedOracle:
         # durably completed — the semantics the resume suite pins down.
         self.bus.emit(BatchCompleted(telemetry=telemetry))
         self.bus.emit(telemetry)
-        if self.batch_callback is not None:
-            self.batch_callback(telemetry)
         crash_point("campaign.batch_committed")
         return records
 
@@ -594,46 +594,6 @@ class BudgetedOracle:
             raise CampaignInterrupted(
                 f"campaign interrupted by {self.interrupt.reason or 'signal'}")
 
-    def _external_record(self, key: tuple[int, ...], vid: int
-                         ) -> tuple[Optional[VariantRecord], str]:
-        """Resolve a variant from the journal replay or the persistent
-        cache — ("replay"/"disk"), both under the variant-id contract.
-
-        The journal is consulted first: on resume it is authoritative
-        for the previous allocation's trajectory, and serving it keeps
-        replayed batches at ~0 cost even without a shared cache dir.
-        """
-        if self.replay is not None:
-            record = self.replay.lookup(key, vid)
-            if record is not None:
-                return record, "replay"
-        if self.cache is not None:
-            record = self.cache.get(key, vid)
-            if record is not None:
-                return record, "disk"
-        return None, ""
-
-    def _emit_variant(self, batch_index: int, record: VariantRecord,
-                      source: str) -> None:
-        """Publish one variant's resolution on the bus.
-
-        The payload is deterministic by construction — ids, outcomes,
-        provenance, and *simulated* seconds only — so serial and
-        parallel runs of the same seed emit identical variant-level
-        event multisets (real wall clock lives in the span trace).
-        """
-        charged = source in ("fresh", "worker-failure")
-        self.bus.emit(VariantEvaluated(
-            batch_index=batch_index,
-            variant_id=record.variant_id,
-            outcome=record.outcome.name,
-            source=source,
-            sim_seconds=record.eval_wall_seconds if charged else 0.0,
-            stages=self.evaluator.stage_timings(record) if charged else (),
-            speedup=record.speedup,
-            fraction_lowered=record.fraction_lowered,
-        ))
-
     # ------------------------------------------------------------------
 
     def _evaluate(
@@ -641,166 +601,162 @@ class BudgetedOracle:
     ) -> tuple[list[VariantRecord], list[bool], _BatchStats]:
         """Resolve one batch: (records, per-record cache-hit flags, stats).
 
-        Variant ids are reserved in batch order for cache misses — the
-        invariant every execution backend must preserve, because ids key
-        the Eq.-1 noise sampling.
+        The one pipeline behind every oracle, plan -> run -> commit ->
+        resolve:
+
+        * **plan** — in batch order, serve memory hits, fold in-batch
+          duplicates onto their first occurrence, reserve a variant id
+          for every other row (ids key the Eq.-1 noise, so they must
+          not depend on how the batch runs), and serve journal-replay
+          and disk-cache hits under that id;
+        * **run** — :meth:`_run_tasks` evaluates the remaining misses,
+          handing each record to ``stats.commit`` as soon as it exists;
+        * **commit** — admit the record and, unless it was synthesized
+          from a worker failure, put it in the cache and the journal;
+        * **resolve** — publish the rows in batch order, each as soon as
+          it and every row before it are resolved, so serial events
+          interleave with evaluation.
         """
-        if self.evaluator.backend == "batched":
-            return self._evaluate_batched(assignments)
         stats = _BatchStats()
         batch_index = len(self.telemetry)
-        records: list[VariantRecord] = []
-        hit_flags: list[bool] = []
+        rows: list[Optional[tuple[VariantRecord, str]]] = []
+        row_of: dict[int, list[int]] = {}       # task vid -> its rows
+        vid_of: dict[tuple[int, ...], int] = {}
+        tasks: list[tuple[PrecisionAssignment, int]] = []
         for assignment in assignments:
-            # Between-variant poll: a serial batch can be hours of real
-            # work; completed variants are already journaled, so an
-            # interrupt here loses nothing.
-            self._check_interrupt()
-            record = self.evaluator.lookup(assignment)
-            hit = record is not None
-            source = "memory"
+            key = assignment.key()
+            record, source = self.evaluator.lookup(assignment), "memory"
+            if record is None and key in vid_of:
+                # Duplicate of a pending miss: one evaluation, both rows
+                # (serial execution would serve the repeat from memory).
+                stats.cache_hits += 1
+                row_of[vid_of[key]].append(len(rows))
+                rows.append(None)
+                continue
             if record is None:
                 vid = self.evaluator.reserve_id()
-                record, source = self._external_record(assignment.key(), vid)
-                if record is not None:
-                    hit = True
-                    if source == "replay":
-                        stats.replayed += 1
-                    else:
-                        stats.disk_hits += 1
-                    self.evaluator.admit(record)
-                else:
-                    source = "fresh"
-                    eval_started = time.perf_counter()
-                    record = self.evaluator.evaluate_assigned(assignment, vid)
-                    self.tracer.emit_span(
-                        "variant",
-                        wall_seconds=time.perf_counter() - eval_started,
-                        sim_seconds=record.eval_wall_seconds,
-                        attrs={"id": record.variant_id,
-                               "outcome": record.outcome.name})
-                    self.evaluator.admit(record)
-                    if self.cache is not None:
-                        self.cache.put(record)
-                    if self.journal is not None:
-                        self.journal.variant(batch_index, record)
-                    stats.dispatched += 1
-                    stats.completed += 1
-            if hit:
-                stats.cache_hits += 1
-            self._emit_variant(batch_index, record, source)
-            records.append(record)
-            hit_flags.append(hit)
-        return records, hit_flags, stats
-
-    def _evaluate_batched(
-        self, assignments: list[PrecisionAssignment]
-    ) -> tuple[list[VariantRecord], list[bool], _BatchStats]:
-        """Serial batched sweep: resolve hits up front, then evaluate
-        every remaining variant in one vectorized wave.
-
-        The plan phase mirrors :class:`ParallelOracle` exactly — ids are
-        reserved in batch order for first-occurrence misses, in-batch
-        duplicates are folded onto one evaluation and re-emitted as
-        memory hits — so records, events, and journal rows are
-        bit-identical to the scalar serial path (the three-way
-        differential fuzzer and the golden digests gate this).
-        """
-        stats = _BatchStats()
-        batch_index = len(self.telemetry)
-        # ("rec", record, source) | ("task", i, None)
-        plan: list[tuple[str, object, Optional[str]]] = []
-        tasks: list[tuple[PrecisionAssignment, int]] = []
-        task_by_key: dict[tuple[int, ...], int] = {}
-        for assignment in assignments:
-            self._check_interrupt()
-            record = self.evaluator.lookup(assignment)
-            if record is not None:
-                stats.cache_hits += 1
-                plan.append(("rec", record, "memory"))
-                continue
-            key = assignment.key()
-            if key in task_by_key:
-                # Duplicate within the wave: one lane, both rows —
-                # serial scalar execution would serve the repeat from
-                # the in-memory cache after the first evaluation.
-                stats.cache_hits += 1
-                plan.append(("task", task_by_key[key], None))
-                continue
-            vid = self.evaluator.reserve_id()
-            record, source = self._external_record(key, vid)
-            if record is not None:
-                stats.cache_hits += 1
+                # The journal first: on resume it is authoritative for
+                # the previous allocation's trajectory.
+                if self.replay is not None:
+                    record, source = self.replay.lookup(key, vid), "replay"
+                if record is None and self.cache is not None:
+                    record, source = self.cache.get(key, vid), "disk"
+                if record is None:
+                    vid_of[key] = vid
+                    row_of[vid] = [len(rows)]
+                    rows.append(None)
+                    tasks.append((assignment, vid))
+                    continue
                 if source == "replay":
                     stats.replayed += 1
                 else:
                     stats.disk_hits += 1
                 self.evaluator.admit(record)
-                plan.append(("rec", record, source))
-                continue
-            task_by_key[key] = len(tasks)
-            tasks.append((assignment, vid))
-            plan.append(("task", len(tasks) - 1, None))
+            stats.cache_hits += 1
+            rows.append((record, source))
         stats.dispatched = len(tasks)
 
-        results: dict[int, VariantRecord] = {}
-        if tasks:
-            # One lockstep sweep for the whole wave.  The lowering span
-            # records the wave's width and how many lanes stayed on the
-            # vector path; per-variant wall time is not observable when
-            # lanes interleave, so variant spans trace with unknown
-            # wall (exactly like worker-evaluated variants).
-            sweep_started = time.perf_counter()
-            fresh = self.evaluator.evaluate_assigned_batch(tasks)
-            bstats = self.evaluator.last_batch_stats
-            if bstats is not None:
-                stats.vector_lanes += bstats.vector_lanes
-                stats.fallback_lanes += bstats.fallback_lanes
-            self.tracer.emit_span(
-                "lowering",
-                wall_seconds=time.perf_counter() - sweep_started,
-                sim_seconds=0.0,
-                attrs={"batch": batch_index, "width": len(tasks),
-                       "vector_lanes":
-                           bstats.vector_lanes if bstats else len(tasks),
-                       "fallback_lanes":
-                           bstats.fallback_lanes if bstats else 0})
-            for (assignment, vid), record in zip(tasks, fresh):
-                results[vid] = record
-                self.evaluator.admit(record)
+        published = 0
+
+        def resolve() -> None:
+            # Event payloads are deterministic — ids, outcomes,
+            # provenance, simulated seconds — so every oracle emits the
+            # same ordered variant events for one seed.
+            nonlocal published
+            while published < len(rows) and rows[published] is not None:
+                record, source = rows[published]
+                charged = source in _CHARGED_SOURCES
+                self.bus.emit(VariantEvaluated(
+                    batch_index=batch_index,
+                    variant_id=record.variant_id,
+                    outcome=record.outcome.name,
+                    source=source,
+                    sim_seconds=record.eval_wall_seconds if charged else 0.0,
+                    stages=(self.evaluator.stage_timings(record)
+                            if charged else ()),
+                    speedup=record.speedup,
+                    fraction_lowered=record.fraction_lowered,
+                ))
+                published += 1
+
+        def commit(vid: int, record: VariantRecord, synthesized=False,
+                   wall_seconds: Optional[float] = None) -> None:
+            self.evaluator.admit(record)
+            # Synthesized records describe failed worker infrastructure,
+            # not the variant: never persisted, so a resumed campaign
+            # re-attempts the evaluation instead.
+            if synthesized:
+                stats.failures += 1
+            else:
+                stats.completed += 1
                 if self.cache is not None:
                     self.cache.put(record)
                 if self.journal is not None:
                     self.journal.variant(batch_index, record)
-                stats.completed += 1
+            self.tracer.emit_span(
+                "variant", wall_seconds=wall_seconds,
+                sim_seconds=record.eval_wall_seconds,
+                attrs={"id": record.variant_id,
+                       "outcome": record.outcome.name})
+            first, *repeats = row_of[vid]
+            rows[first] = (record,
+                           "worker-failure" if synthesized else "fresh")
+            for row in repeats:
+                rows[row] = (record, "memory")
+            resolve()
 
-        # Resolve the plan in batch order, emitting each record exactly
-        # as the scalar serial oracle would.
-        records: list[VariantRecord] = []
-        hit_flags: list[bool] = []
-        emitted: set[int] = set()
-        for kind, payload, source in plan:
-            if kind == "rec":
-                records.append(payload)
-                hit_flags.append(True)
-                self._emit_variant(batch_index, payload, source)
-                continue
-            _, vid = tasks[payload]
-            record = results[vid]
-            records.append(record)
-            if payload in emitted:
-                hit_flags.append(True)
-                self._emit_variant(batch_index, record, "memory")
-            else:
-                hit_flags.append(False)
-                emitted.add(payload)
-                self.tracer.emit_span(
-                    "variant", wall_seconds=None,
-                    sim_seconds=record.eval_wall_seconds,
-                    attrs={"id": record.variant_id,
-                           "outcome": record.outcome.name})
-                self._emit_variant(batch_index, record, "fresh")
-        return records, hit_flags, stats
+        stats.commit = commit
+        resolve()
+        try:
+            self._run_tasks(tasks, stats)
+        except BaseException:
+            # No worker may outlive a failed batch: a KeyboardInterrupt
+            # mid-dispatch would otherwise leak live worker processes.
+            self._kill_pool()
+            raise
+        return ([record for record, _ in rows],
+                [source not in _CHARGED_SOURCES for _, source in rows],
+                stats)
+
+    def _run_tasks(self, tasks: list[tuple[PrecisionAssignment, int]],
+                   stats: _BatchStats) -> None:
+        """Run step, in process: evaluate the planned misses and hand
+        each record to ``stats.commit``.
+
+        A wave the evaluator runs lockstep is one
+        :meth:`~Evaluator.evaluate_assigned_batch` sweep.  Otherwise the
+        variants run one at a time, each committed — journaled — before
+        the next starts, so an interrupt between them loses no finished
+        work.
+        """
+        if not self.evaluator.runs_lockstep(len(tasks)):
+            for assignment, vid in tasks:
+                self._check_interrupt()
+                started = time.perf_counter()
+                record = self.evaluator.evaluate_assigned(assignment, vid)
+                stats.commit(vid, record,
+                             wall_seconds=time.perf_counter() - started)
+            return
+        self._check_interrupt()
+        started = time.perf_counter()
+        records = self.evaluator.evaluate_assigned_batch(tasks)
+        lanes = self.evaluator.last_batch_stats
+        stats.vector_lanes += lanes.vector_lanes
+        stats.fallback_lanes += lanes.fallback_lanes
+        # Lanes interleave, so per-variant wall time is unobservable: the
+        # sweep's wall goes on one lowering span and the variant spans
+        # trace with unknown wall (like worker-evaluated variants).
+        self.tracer.emit_span(
+            "lowering", wall_seconds=time.perf_counter() - started,
+            sim_seconds=0.0,
+            attrs={"batch": len(self.telemetry), "width": len(tasks),
+                   "vector_lanes": lanes.vector_lanes,
+                   "fallback_lanes": lanes.fallback_lanes})
+        for (_, vid), record in zip(tasks, records):
+            stats.commit(vid, record)
+
+    def _kill_pool(self) -> None:
+        """Tear down worker processes at once; the serial oracle has none."""
 
     def close(self) -> None:
         """Release execution resources (worker pools); idempotent."""
@@ -810,16 +766,11 @@ def make_oracle(
     model,                                  # repro.models.base.ModelCase
     config: CampaignConfig,
     evaluator: Optional[Evaluator] = None,
-    seed: Optional[int] = None,
 ) -> BudgetedOracle:
-    """The oracle for *config*: serial, cached, and/or process-parallel.
-
-    *seed* overrides ``config.seed`` when given (kept for callers that
-    predate the config-first API)."""
+    """The oracle for *config*: serial, cached, and/or process-parallel."""
     if evaluator is None:
         evaluator = Evaluator(model, timeout_factor=config.timeout_factor,
-                              seed=config.seed if seed is None else seed,
-                              backend=config.backend)
+                              seed=config.seed, backend=config.backend)
     cache = None
     if config.cache_dir:
         cache = ResultCache.for_evaluator(config.cache_dir, evaluator)
@@ -961,57 +912,6 @@ class CampaignResult:
         }, sort_keys=True)
 
 
-#: Former ``run_campaign`` keyword parameters now owned by
-#: :class:`CampaignConfig` (or, for ``batch_callback``, superseded by
-#: ``config.subscribers``).  Still accepted with a DeprecationWarning.
-_LEGACY_KWARGS = ("seed", "workers", "cache_dir", "journal_dir",
-                  "resume_from", "batch_callback")
-
-
-def _telemetry_subscriber(callback: Callable[[BatchTelemetry], None]):
-    """Adapt a legacy ``batch_callback`` into a typed bus subscriber."""
-    @subscribes_to(BatchTelemetry)
-    def deliver(telemetry):
-        callback(telemetry)
-    return deliver
-
-
-def _apply_legacy_kwargs(config: CampaignConfig,
-                         legacy: dict) -> CampaignConfig:
-    """Fold deprecated ``run_campaign`` kwargs into the config.
-
-    Precedence is pinned by ``tests/test_campaign_api.py``: an explicit
-    kwarg wins over the corresponding config field (it is the more
-    specific statement of intent), and an explicit ``journal_dir`` wins
-    over ``resume_from`` for the directory choice — matching the old
-    signature's ``journal_dir or resume_from or config.journal_dir``.
-    """
-    unknown = set(legacy) - set(_LEGACY_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"run_campaign() got unexpected keyword argument(s): "
-            f"{sorted(unknown)}")
-    supplied = {k: v for k, v in legacy.items() if v is not None}
-    if not supplied:
-        return config
-    warnings.warn(
-        f"run_campaign kwargs {sorted(supplied)} are deprecated; pass "
-        f"them on CampaignConfig instead (config.overriding(...), with "
-        f"resume_from -> journal_dir + resume=True and batch_callback "
-        f"-> subscribers)",
-        DeprecationWarning, stacklevel=3)
-    overrides = {k: supplied[k] for k in
-                 ("seed", "workers", "cache_dir", "journal_dir")
-                 if k in supplied}
-    if "resume_from" in supplied:
-        overrides.setdefault("journal_dir", supplied["resume_from"])
-        overrides["resume"] = True
-    if "batch_callback" in supplied:
-        overrides["subscribers"] = config.subscribers + (
-            _telemetry_subscriber(supplied["batch_callback"]),)
-    return config.overriding(**overrides)
-
-
 def _resolve_profile(model, config: CampaignConfig, algorithm):
     """Resolve the numerical profile the algorithm wants (or can use).
 
@@ -1053,7 +953,6 @@ def run_campaign(
     config: Optional[CampaignConfig] = None,
     algorithm=None,
     evaluator: Optional[Evaluator] = None,
-    **legacy,
 ) -> CampaignResult:
     """Run the full tuning campaign for one model case.
 
@@ -1069,12 +968,8 @@ def run_campaign(
     the exact batch where the previous process died, producing a result
     byte-identical to an uninterrupted run.  Journaling continues into
     the same directory.
-
-    The pre-redesign kwargs (``seed``/``workers``/``cache_dir``/
-    ``journal_dir``/``resume_from``/``batch_callback``) are still
-    accepted and folded into the config with a ``DeprecationWarning``.
     """
-    config = _apply_legacy_kwargs(config or CampaignConfig(), legacy)
+    config = config or CampaignConfig()
     journal_dir = config.journal_dir
     if config.resume and not journal_dir:
         raise CampaignError("resume requested but no journal directory "

@@ -300,6 +300,11 @@ class Evaluator:
         return self._evaluate_with(assignment, vid,
                                    self._interpreter_factory)
 
+    def runs_lockstep(self, width: int) -> bool:
+        """Whether a wave of *width* variants runs as one lockstep sweep:
+        under the ``batched`` backend, any wave of two or more."""
+        return self.backend == "batched" and width > 1
+
     def evaluate_assigned_batch(
         self, tasks: list[tuple[PrecisionAssignment, int]]
     ) -> list[VariantRecord]:
@@ -312,10 +317,10 @@ class Evaluator:
         back individually to the compiled scalar path.  Every record is
         bit-identical to what :meth:`evaluate_assigned` produces for
         the same pair (the three-way differential fuzzer and the golden
-        digests gate this).  Other backends, and width-1 waves, simply
-        loop over :meth:`evaluate_assigned`.
+        digests gate this).  A wave that does not :meth:`runs_lockstep`
+        simply loops over :meth:`evaluate_assigned`.
         """
-        if self.backend != "batched" or len(tasks) <= 1:
+        if not self.runs_lockstep(len(tasks)):
             return [self.evaluate_assigned(a, vid) for a, vid in tasks]
         from ..fortran.batch import VariantBatch
         overlays = [a.overlay() for a, _ in tasks]

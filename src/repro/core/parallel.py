@@ -31,13 +31,17 @@ worker pool is torn down on *every* exception path out of a batch
 (including ``KeyboardInterrupt``), so no worker processes are ever
 leaked.
 
+Only the run step lives here: :class:`ParallelOracle` overrides
+:meth:`~repro.core.campaign.BudgetedOracle._run_tasks` and inherits the
+batch pipeline (plan, commit, resolve) every oracle shares.
+
 Observability: workers hold no event bus — the :class:`VariantRecord`
 returning over the result pipe *is* the forwarded event payload.  The
-parent re-emits :class:`~repro.obs.events.VariantEvaluated` in plan
-(batch) order once the batch resolves, with the same deterministic
-fields a serial oracle would publish, so serial and parallel runs of
-one seed produce identical variant-level event multisets; worker
-retry/backoff/failure additionally surface as their own events.
+parent's pipeline emits :class:`~repro.obs.events.VariantEvaluated` in
+plan (batch) order, with the same deterministic fields a serial oracle
+publishes, so serial and parallel runs of one seed produce the same
+ordered variant events; worker retry/backoff/failure additionally
+surface as their own events.
 """
 
 from __future__ import annotations
@@ -72,15 +76,14 @@ __all__ = ["WorkerSpec", "ParallelOracle"]
 class WorkerSpec:
     """Everything a worker process needs to rebuild the evaluator.
 
-    ``fault`` is the legacy one-shot hook for the fault-tolerance
-    suite: workers cannot be monkeypatched across the process boundary,
-    so fault injection travels with the spec.  ``chaos_faults`` is its
-    generalization, compiled from :attr:`CampaignConfig.chaos` by
-    :meth:`ParallelOracle.for_model`: per-variant ``(variant_id, mode,
-    marker_path)`` entries, where a non-empty marker path arms the
-    fault once (the marker file records that it fired; the retry
-    proceeds normally) and an empty one makes the variant *poison* —
-    every attempt fails.  Production callers leave both empty.
+    Workers cannot be monkeypatched across the process boundary, so
+    fault injection travels with the spec: ``chaos_faults`` is compiled
+    from :attr:`CampaignConfig.chaos` by :meth:`ParallelOracle
+    .for_model` into per-variant ``(variant_id, mode, marker_path)``
+    entries, where a non-empty marker path arms the fault once (the
+    marker file records that it fired; the retry proceeds normally) and
+    an empty one makes the variant *poison* — every attempt fails.
+    Production callers leave it empty.
     """
 
     model_name: str
@@ -88,7 +91,6 @@ class WorkerSpec:
     machine: MachineModel
     timeout_factor: float
     noise: NoiseModel
-    fault: Optional[tuple[str, str]] = None   # (mode, argument)
     backend: str = "compiled"                 # Fortran execution backend
     chaos_faults: tuple[tuple[int, str, str], ...] = ()
 
@@ -127,7 +129,6 @@ def _worker_init(spec: WorkerSpec) -> None:
         case, machine=spec.machine, timeout_factor=spec.timeout_factor,
         noise=spec.noise, backend=spec.backend)
     _WORKER["atoms"] = case.space.atoms
-    _WORKER["fault"] = spec.fault
     _WORKER["chaos_faults"] = {vid: (mode, marker)
                                for vid, mode, marker in spec.chaos_faults}
 
@@ -144,31 +145,19 @@ def _arm_once(marker: str) -> bool:
         return False
 
 
-def _fire(mode: str, detail: str) -> None:
+def _maybe_fault(vid: int) -> None:
+    entry = _WORKER["chaos_faults"].get(vid)
+    if entry is None:
+        return
+    mode, marker = entry
+    if marker and not _arm_once(marker):
+        return
     if mode == "crash":
         os._exit(13)
     if mode == "hang":
         time.sleep(3600)
     if mode == "raise":
-        raise RuntimeError(detail or "injected worker fault")
-
-
-def _maybe_fault(vid: Optional[int] = None) -> None:
-    fault = _WORKER.get("fault")
-    if fault is not None:
-        mode, arg = fault
-        if mode.endswith("_once"):
-            # One-shot faults arm through a marker file so the retry
-            # (in a fresh worker) proceeds normally.
-            if _arm_once(arg):
-                _fire(mode[:-len("_once")], arg)
-        else:
-            _fire(mode, arg)
-    entry = (_WORKER.get("chaos_faults") or {}).get(vid)
-    if entry is not None:
-        mode, marker = entry
-        if not marker or _arm_once(marker):
-            _fire(mode, f"chaos fault armed for variant {vid}")
+        raise RuntimeError(f"chaos fault armed for variant {vid}")
 
 
 def _worker_evaluate(kinds: tuple[int, ...], vid: int) -> VariantRecord:
@@ -217,13 +206,10 @@ class ParallelOracle(BudgetedOracle):
         config: CampaignConfig,
         evaluator: Optional[Evaluator] = None,
         cache: Optional[ResultCache] = None,
-        seed: Optional[int] = None,
-        fault: Optional[tuple[str, str]] = None,
     ) -> "ParallelOracle":
         if evaluator is None:
             evaluator = Evaluator(model, timeout_factor=config.timeout_factor,
-                                  seed=config.seed if seed is None else seed,
-                                  backend=config.backend)
+                                  seed=config.seed, backend=config.backend)
         chaos_faults: tuple[tuple[int, str, str], ...] = ()
         marker_dir: Optional[str] = None
         plan = getattr(config, "chaos", None)
@@ -241,7 +227,6 @@ class ParallelOracle(BudgetedOracle):
             machine=evaluator.machine,
             timeout_factor=evaluator.timeout_factor,
             noise=evaluator.noise,
-            fault=fault,
             backend=getattr(evaluator, "backend", config.backend),
             chaos_faults=chaos_faults,
         )
@@ -322,125 +307,19 @@ class ParallelOracle(BudgetedOracle):
         self._cleanup_fault_markers()
 
     def _cleanup_fault_markers(self) -> None:
-        """Remove one-shot fault marker files (legacy ``fault=*_once``
-        arg and the chaos marker directory).  Markers are scoped to the
-        oracle/pool lifetime: they must survive pool rebuilds between
-        retries — that is how "once" is remembered — but were previously
-        left behind in shared tmp dirs after close."""
-        spec = self.spec
-        if (spec is not None and spec.fault is not None
-                and spec.fault[0].endswith("_once") and spec.fault[1]):
-            try:
-                os.unlink(spec.fault[1])
-            except OSError:
-                pass
+        """Remove the chaos one-shot fault marker directory.  Markers are
+        scoped to the oracle/pool lifetime: they must survive pool
+        rebuilds between retries — that is how "once" is remembered —
+        but never outlive the oracle in a shared tmp dir."""
         marker_dir, self._marker_dir = self._marker_dir, None
         if marker_dir:
             shutil.rmtree(marker_dir, ignore_errors=True)
 
-    # -- batch evaluation -----------------------------------------------
+    # -- run step -------------------------------------------------------
 
-    def _evaluate(self, assignments):
-        stats = _BatchStats()
-        batch_index = len(self.telemetry)
-        # Plan the batch in order: resolve journal-replay and cache hits
-        # and reserve variant ids for misses *before* dispatch, so ids
-        # (and therefore noise draws) are independent of completion
-        # order and worker count.
-        # ("rec", record, source) | ("task", i, None)
-        plan: list[tuple[str, object, Optional[str]]] = []
-        tasks: list[tuple[PrecisionAssignment, int]] = []
-        task_by_key: dict[tuple[int, ...], int] = {}
-        for assignment in assignments:
-            record = self.evaluator.lookup(assignment)
-            if record is not None:
-                stats.cache_hits += 1
-                plan.append(("rec", record, "memory"))
-                continue
-            key = assignment.key()
-            if key in task_by_key:
-                # Duplicate within the batch: one evaluation, both rows.
-                # Serial execution would serve the repeat from cache.
-                stats.cache_hits += 1
-                plan.append(("task", task_by_key[key], None))
-                continue
-            vid = self.evaluator.reserve_id()
-            record, source = self._external_record(key, vid)
-            if record is not None:
-                stats.cache_hits += 1
-                if source == "replay":
-                    stats.replayed += 1
-                else:
-                    stats.disk_hits += 1
-                self.evaluator.admit(record)
-                plan.append(("rec", record, source))
-                continue
-            task_by_key[key] = len(tasks)
-            tasks.append((assignment, vid))
-            plan.append(("task", len(tasks) - 1, None))
-        stats.dispatched = len(tasks)
-
-        # The pool must never outlive an exception here — in particular
-        # a KeyboardInterrupt mid-dispatch used to leak live worker
-        # processes (the executor's atexit hook then blocked on them).
-        try:
-            results, synthesized = self._run_tasks(tasks, stats)
-        except BaseException:
-            self._kill_pool()
-            raise
-        for (assignment, vid) in tasks:
-            record = results[vid]
-            self.evaluator.admit(record)
-            # Synthesized failure records describe transient worker
-            # infrastructure, not the variant — never persist them
-            # (neither in the cache nor in the journal: a resumed
-            # campaign should re-attempt the evaluation instead).
-            if vid in synthesized:
-                continue
-            if self.cache is not None:
-                self.cache.put(record)
-            if self.journal is not None:
-                self.journal.variant(batch_index, record)
-
-        # Resolve the plan in batch order, re-emitting each record's
-        # resolution on the parent's bus exactly as a serial oracle
-        # would: first task occurrences are "fresh" (or the synthesized
-        # "worker-failure"), repeats and pre-resolved rows are hits.
-        records, hit_flags = [], []
-        emitted: set[int] = set()
-        for kind, payload, source in plan:
-            if kind == "rec":
-                records.append(payload)
-                hit_flags.append(True)
-                self._emit_variant(batch_index, payload, source)
-            else:
-                _, vid = tasks[payload]
-                record = results[vid]
-                records.append(record)
-                # The first occurrence of a task is the miss that paid
-                # for the evaluation; repeats within the batch are hits.
-                if payload in emitted:
-                    hit_flags.append(True)
-                    self._emit_variant(batch_index, record, "memory")
-                else:
-                    hit_flags.append(False)
-                    emitted.add(payload)
-                    source = ("worker-failure" if vid in synthesized
-                              else "fresh")
-                    # Per-variant wall time never crosses the pipe (the
-                    # record carries only simulated cost), so worker
-                    # variants trace with unknown wall.
-                    self.tracer.emit_span(
-                        "variant", wall_seconds=None,
-                        sim_seconds=record.eval_wall_seconds,
-                        attrs={"id": record.variant_id,
-                               "outcome": record.outcome.name})
-                    self._emit_variant(batch_index, record, source)
-        return records, hit_flags, stats
-
-    def _run_tasks(self, tasks, stats: _BatchStats
-                   ) -> tuple[dict[int, VariantRecord], set[int]]:
-        """Evaluate (assignment, vid) pairs with retry and downgrade.
+    def _run_tasks(self, tasks, stats: _BatchStats) -> None:
+        """Evaluate (assignment, vid) pairs on the pool, with retry and
+        downgrade, handing each record to ``stats.commit``.
 
         Retries of *transient* infrastructure failures (worker crash,
         hang, unexpected exception) are separated by deterministic
@@ -448,13 +327,9 @@ class ParallelOracle(BudgetedOracle):
         identically.  Deterministic evaluation outcomes (a variant
         classified TIMEOUT or RUNTIME_ERROR by the worker's evaluator)
         come back as ordinary records and never pass through the retry
-        path at all.
-
-        Returns vid → record plus the set of vids whose record was
-        synthesized from an irrecoverable worker failure.
+        path at all.  A record synthesized from an irrecoverable worker
+        failure is committed as such (never cached or journaled).
         """
-        results: dict[int, VariantRecord] = {}
-        synthesized: set[int] = set()
         max_attempts = 1 + max(0, self.config.worker_retries)
         pending = [(a, vid, 0) for a, vid in tasks]
 
@@ -476,8 +351,7 @@ class ParallelOracle(BudgetedOracle):
             # (everything journaled so far survives for the resume).
             self._check_interrupt()
             if pool_deaths >= breaker:
-                self._trip_breaker(pending, results, synthesized, stats,
-                                   pool_deaths)
+                self._trip_breaker(pending, stats, pool_deaths)
                 break
             retry_round = max((att for _, _, att in pending), default=0)
             if retry_round > 0 and self.config.retry_backoff_seconds > 0:
@@ -515,26 +389,24 @@ class ParallelOracle(BudgetedOracle):
                     # as never-started: requeue.
                     if fut.done():
                         try:
-                            results[vid] = fut.result(timeout=0)
-                            stats.completed += 1
+                            record = fut.result(timeout=0)
+                        except (CancelledError, Exception):
+                            pass
+                        else:
+                            stats.commit(vid, record)
                             continue
-                        except CancelledError:
-                            pass
-                        except Exception:
-                            pass
                     pending.append((a, vid, attempts))
                     continue
                 try:
-                    results[vid] = fut.result(
+                    record = fut.result(
                         timeout=self.config.worker_timeout_seconds)
-                    stats.completed += 1
                 except FutureTimeoutError:
                     self._kill_pool()
                     pool_down = True
                     self._record_failure(
                         a, vid, attempts, Outcome.TIMEOUT,
                         "worker exceeded the hard per-variant timeout",
-                        pending, results, synthesized, stats, max_attempts)
+                        pending, stats, max_attempts)
                 except CancelledError:
                     # The executor cancelled this future because a
                     # sibling broke the pool (the BrokenExecutor may
@@ -550,7 +422,7 @@ class ParallelOracle(BudgetedOracle):
                     self._record_failure(
                         a, vid, attempts, Outcome.RUNTIME_ERROR,
                         "worker process crashed",
-                        pending, results, synthesized, stats, max_attempts)
+                        pending, stats, max_attempts)
                 except Exception as exc:
                     # The worker function raised (pool still healthy):
                     # an error the worker-side evaluator could not
@@ -558,16 +430,16 @@ class ParallelOracle(BudgetedOracle):
                     self._record_failure(
                         a, vid, attempts, Outcome.RUNTIME_ERROR,
                         f"worker raised {type(exc).__name__}: {exc}",
-                        pending, results, synthesized, stats, max_attempts)
+                        pending, stats, max_attempts)
+                else:
+                    stats.commit(vid, record)
             if pool_down and stats.completed == completed_before:
                 pool_deaths += 1
             else:
                 pool_deaths = 0
-        return results, synthesized
 
     def _record_failure(self, assignment, vid, attempts, outcome, reason,
-                        pending, results, synthesized, stats,
-                        max_attempts) -> None:
+                        pending, stats, max_attempts) -> None:
         attempts += 1
         self._attempt_outcomes.setdefault(vid, []).append(outcome.name)
         if attempts < max_attempts:
@@ -577,8 +449,6 @@ class ParallelOracle(BudgetedOracle):
                 attempt=attempts, reason=reason))
             pending.append((assignment, vid, attempts))
             return
-        stats.failures += 1
-        synthesized.add(vid)
         if (self.config.quarantine and attempts >= 2
                 and len(set(self._attempt_outcomes[vid])) == 1):
             # Deterministic poison: every attempt failed the same way.
@@ -586,11 +456,10 @@ class ParallelOracle(BudgetedOracle):
             # variant itself is the trigger, so record a permanent typed
             # failure and journal it — a resumed campaign replays the
             # quarantine instead of re-poisoning a fresh pool.  (Still
-            # in `synthesized`: the record must not enter the cache or
-            # be double-journaled as an ordinary variant.)
+            # synthesized: the record must not enter the cache or be
+            # double-journaled as an ordinary variant.)
             record = self.evaluator.quarantine_record(
                 assignment, vid, outcome, attempts, reason)
-            results[vid] = record
             stats.quarantined += 1
             if self.journal is not None:
                 self.journal.quarantine(len(self.telemetry), record,
@@ -598,16 +467,16 @@ class ParallelOracle(BudgetedOracle):
             self.bus.emit(VariantQuarantined(
                 batch_index=len(self.telemetry), variant_id=vid,
                 outcome=outcome.name, attempts=attempts, reason=reason))
-            return
-        self.bus.emit(WorkerFailure(
-            batch_index=len(self.telemetry), variant_id=vid,
-            outcome=outcome.name, reason=reason))
-        results[vid] = self.evaluator.failure_record(
-            assignment, vid, outcome,
-            note=f"{reason} ({attempts} attempts)")
+        else:
+            self.bus.emit(WorkerFailure(
+                batch_index=len(self.telemetry), variant_id=vid,
+                outcome=outcome.name, reason=reason))
+            record = self.evaluator.failure_record(
+                assignment, vid, outcome,
+                note=f"{reason} ({attempts} attempts)")
+        stats.commit(vid, record, synthesized=True)
 
-    def _trip_breaker(self, pending, results, synthesized, stats,
-                      pool_deaths) -> None:
+    def _trip_breaker(self, pending, stats, pool_deaths) -> None:
         """Stop fighting dead infrastructure: downgrade everything still
         pending in one step.  The records are synthesized (never cached
         or journaled), so a resumed campaign on healthy hardware simply
@@ -618,12 +487,11 @@ class ParallelOracle(BudgetedOracle):
         reason = (f"worker pool unavailable ({pool_deaths} consecutive "
                   f"pool failures); circuit breaker open")
         for assignment, vid, attempts in pending:
-            stats.failures += 1
-            synthesized.add(vid)
             self.bus.emit(WorkerFailure(
                 batch_index=len(self.telemetry), variant_id=vid,
                 outcome=Outcome.RUNTIME_ERROR.name, reason=reason))
-            results[vid] = self.evaluator.failure_record(
+            stats.commit(vid, self.evaluator.failure_record(
                 assignment, vid, Outcome.RUNTIME_ERROR,
-                note=f"{reason} ({attempts + 1} attempts)")
+                note=f"{reason} ({attempts + 1} attempts)"),
+                synthesized=True)
         pending.clear()

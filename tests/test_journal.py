@@ -10,9 +10,7 @@ uninterrupted run.  A journal written for a different campaign
 
 This suite uses the config-first API throughout: journal placement is
 ``CampaignConfig.journal_dir``/``resume``, and crash injection rides
-the event bus as a ``BatchTelemetry`` subscriber.  Coverage of the
-deprecated ``journal_dir=``/``resume_from=``/``batch_callback=``
-kwargs lives in tests/test_campaign_api.py.
+the event bus as a ``BatchTelemetry`` subscriber.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ import signal
 
 import pytest
 
+from repro.chaos import FaultPlan, WorkerFault
 from repro.core import (BatchTelemetry, CampaignConfig, DeltaDebugSearch,
                         Outcome, ParallelOracle, RandomSearch, run_campaign)
 from repro.core.journal import CampaignJournal, JournalState, journal_header
@@ -39,6 +38,11 @@ def _funarc():
 def _mpas():
     return MpasCase(ncells=12, nlev=4, nsteps=5, nwork=3,
                     error_threshold=1e-7)
+
+
+#: Every attempt at the first variant crashes its worker.
+_CRASH_FIRST = FaultPlan(worker_faults=(
+    WorkerFault(variant_id=0, mode="crash", once=False),))
 
 
 def _config(**kw) -> CampaignConfig:
@@ -492,9 +496,9 @@ class TestRetryBackoff:
         config = _config(workers=2, worker_retries=2,
                          worker_timeout_seconds=15.0,
                          retry_backoff_seconds=0.05,
-                         retry_backoff_max_seconds=0.08)
-        oracle = ParallelOracle.for_model(case, config=config,
-                                          fault=("crash", ""))
+                         retry_backoff_max_seconds=0.08,
+                         chaos=_CRASH_FIRST, quarantine=False)
+        oracle = ParallelOracle.for_model(case, config=config)
         try:
             oracle.evaluate_batch([case.space.all_single()])
         finally:
@@ -508,9 +512,9 @@ class TestRetryBackoff:
         case = FunarcCase(n=150)
         config = _config(workers=2, worker_retries=1,
                          worker_timeout_seconds=15.0,
-                         retry_backoff_seconds=0.0)
-        oracle = ParallelOracle.for_model(case, config=config,
-                                          fault=("crash", ""))
+                         retry_backoff_seconds=0.0,
+                         chaos=_CRASH_FIRST, quarantine=False)
+        oracle = ParallelOracle.for_model(case, config=config)
         try:
             oracle.evaluate_batch([case.space.all_single()])
         finally:
@@ -530,9 +534,9 @@ class TestRetryBackoff:
         case = FunarcCase(n=150)
         config = _config(workers=2, worker_retries=0,
                          worker_timeout_seconds=15.0,
-                         retry_backoff_seconds=0.0)
-        oracle = ParallelOracle.for_model(case, config=config,
-                                          fault=("crash", ""))
+                         retry_backoff_seconds=0.0,
+                         chaos=_CRASH_FIRST, quarantine=False)
+        oracle = ParallelOracle.for_model(case, config=config)
         header = journal_header(oracle.evaluator, case.space,
                                 DeltaDebugSearch(), config)
         journal = CampaignJournal.create(str(tmp_path / "journal"), header)

@@ -346,3 +346,75 @@ class TestCampaignEvents:
         assert "# TYPE repro_evaluations_total counter" in text
         assert 'repro_sim_seconds_total{stage="run"}' in text
         assert "repro_campaign_finished 1" in text
+
+
+class TestVariantEventOrder:
+    """Every oracle shares one batch pipeline, so the *ordered* variant
+    events and the order of journal variant rows are pinned — not just
+    the event multiset — across serial compiled, serial batched and a
+    two-worker pool."""
+
+    @pytest.mark.parametrize("backend,workers", [
+        ("compiled", 1), ("batched", 1), ("compiled", 2)])
+    def test_order_pinned_across_oracles(self, tmp_path, backend, workers):
+        from repro.core import (DeltaDebugSearch, Evaluator,
+                                PrecisionAssignment, make_oracle)
+        from repro.core.cache import ResultCache
+        from repro.core.journal import (CampaignJournal, JournalState,
+                                        journal_header)
+        from repro.core.results import record_to_dict
+
+        case = _funarc()
+        atoms = case.space.atoms
+        a, b, c, d, e = (
+            case.space.baseline(), case.space.all_single(),
+            *(PrecisionAssignment.from_lowered(atoms, {atom.qualified})
+              for atom in atoms[:3]))
+        assert len({x.key() for x in (a, b, c, d, e)}) == 5
+        config = _config(backend=backend, workers=workers,
+                         cache_dir=str(tmp_path / "cache"))
+
+        # Batch 1 is [a]; batch 2 then reserves ids 1-4 for its misses
+        # d, b, c, e.  Seed the journal replay with b under id 2 and the
+        # disk cache with c under id 3.
+        reference = Evaluator(case, timeout_factor=config.timeout_factor,
+                              seed=config.seed)
+        header = journal_header(reference, case.space, DeltaDebugSearch(),
+                                config)
+        previous = CampaignJournal.create(tmp_path / "previous", header)
+        previous.variant(1, reference.evaluate_assigned(b, 2))
+        previous.close()
+        ResultCache.for_evaluator(config.cache_dir, reference).put(
+            reference.evaluate_assigned(c, 3))
+
+        oracle = make_oracle(case, config)
+        oracle.replay = JournalState.load(tmp_path / "previous")
+        oracle.journal = CampaignJournal.create(tmp_path / "journal",
+                                                header)
+        subscriber, events = _collect_variants()
+        oracle.bus.subscribe(subscriber)
+        try:
+            oracle.evaluate_batch([a])
+            # d twice: an in-batch duplicate; a: a memory hit.
+            records = oracle.evaluate_batch([d, b, a, d, c, e])
+        finally:
+            oracle.close()
+            oracle.journal.close()
+
+        assert [(ev.batch_index, ev.variant_id, ev.source)
+                for ev in events] == [
+            (0, 0, "fresh"),
+            (1, 1, "fresh"), (1, 2, "replay"), (1, 0, "memory"),
+            (1, 1, "memory"), (1, 3, "disk"), (1, 4, "fresh")]
+        assert [r.variant_id for r in records] == [1, 2, 0, 1, 3, 4]
+        rows = [json.loads(line) for line in
+                (tmp_path / "journal" / "journal.jsonl").read_text()
+                .splitlines()]
+        assert [(row["batch"], row["record"]["variant_id"])
+                for row in rows if row["type"] == "variant"] == [
+            (0, 0), (1, 1), (1, 4)]
+        for record in records:
+            assert record_to_dict(record) == record_to_dict(
+                reference.evaluate_assigned(
+                    PrecisionAssignment(atoms=atoms, kinds=record.kinds),
+                    record.variant_id))
