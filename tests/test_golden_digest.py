@@ -3,8 +3,11 @@
 These digests pin the exact bytes of funarc's campaign result and the
 sha256 of its numerical profile across every execution configuration
 the engine claims is equivalent: tree vs compiled vs batched backend,
-serial vs 4-worker parallel.  Future backend work (new lowering rules, cache
-changes, charge reordering) that drifts **any** byte of the
+serial vs 4-worker parallel — plus the profile digest of every
+registered model and of one mixed-kind funarc variant, so a change to
+the shadow engine cannot move the profiler's numbers.  Future backend
+work (new lowering rules, cache changes, charge reordering) that
+drifts **any** byte of the
 deterministic artifacts fails here before it can silently invalidate
 cached results, journals, or published experiment numbers.
 
@@ -21,7 +24,7 @@ import hashlib
 import pytest
 
 from repro.core import CampaignConfig, run_campaign
-from repro.models import FunarcCase
+from repro.models import FunarcCase, build_model
 from repro.numerics import profile_model
 
 #: sha256 of ``CampaignResult.to_json()`` for ``FunarcCase(n=150)``
@@ -34,6 +37,20 @@ GOLDEN_CAMPAIGN_SHA256 = (
 #: execution artifact too: backend work must not move a single bit of
 #: the shadow-run error statistics).
 GOLDEN_PROFILE_DIGEST = "96c17819ca5e44ed"
+
+#: ``profile_model(build_model(name)).digest()`` for every registered
+#: model at its default size (all-single primary side).
+GOLDEN_MODEL_PROFILE_DIGESTS = {
+    "funarc": "3c3f805dadd65f3f",
+    "mpas-a": "3cbef6bab0a1537b",
+    "adcirc": "d7ddc4ff999929fb",
+    "mom6": "951f8671e3df91d4",
+}
+
+#: funarc's profile under the paper's 1-minimal mixed-kind variant (only
+#: the ``s1`` accumulator stays double), so bind-time boundary casts and
+#: mixed-kind arithmetic are pinned too.
+GOLDEN_MIXED_PROFILE_DIGEST = "3a17a914f63f34e6"
 
 _CONFIGS = [("tree", 1), ("tree", 4), ("compiled", 1), ("compiled", 4),
             ("batched", 1), ("batched", 4)]
@@ -62,3 +79,22 @@ def test_numerical_profile_digest_pinned():
         f"NumericalProfile digest drifted ({profile.digest()}).  If "
         f"intentional, recompute: "
         f"profile_model(FunarcCase(n=150)).digest()")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODEL_PROFILE_DIGESTS))
+def test_model_profile_digests_pinned(name):
+    digest = profile_model(build_model(name)).digest()
+    assert digest == GOLDEN_MODEL_PROFILE_DIGESTS[name], (
+        f"{name} NumericalProfile digest drifted ({digest}).  If "
+        f"intentional, recompute: "
+        f"profile_model(build_model({name!r})).digest()")
+
+
+def test_mixed_kind_profile_digest_pinned():
+    model = build_model("funarc")
+    assignment = model.space.baseline().lower_all(
+        [q for q in model.space.atom_names()
+         if q != "funarc_mod::funarc::s1"])
+    digest = profile_model(model, assignment).digest()
+    assert digest == GOLDEN_MIXED_PROFILE_DIGEST, (
+        f"mixed-kind funarc NumericalProfile digest drifted ({digest})")
