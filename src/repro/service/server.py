@@ -156,13 +156,29 @@ class ServiceServer:
                 writer.write(_response(400, {"error": "bad request line"}))
                 return
             headers = {}
+            utf8 = True
             while True:
                 line = await reader.readline()
                 if line in (b"\r\n", b"\n", b""):
                     break
-                name, _, value = line.decode().partition(":")
+                try:
+                    name, _, value = line.decode().partition(":")
+                except UnicodeDecodeError:
+                    utf8 = False    # answer once the header block is read
+                    continue
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", 0) or 0)
+            if not utf8:
+                writer.write(_response(400, {"error": "header is not UTF-8"}))
+                return
+            raw_length = headers.get("content-length") or "0"
+            try:
+                length = int(raw_length)
+            except ValueError:
+                length = -1
+            if length < 0:
+                writer.write(_response(400, {
+                    "error": f"bad content-length {raw_length!r}"}))
+                return
             if length > _MAX_BODY:
                 writer.write(_response(413, {"error": "body too large"}))
                 return
@@ -195,7 +211,11 @@ class ServiceServer:
                     "active": self._active,
                     "workers": self.workers}))
             elif path == "/jobs" and method == "POST":
-                spec = JobSpec.from_json(body.decode("utf-8"))
+                try:
+                    text = body.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise SpecError("request body is not UTF-8") from None
+                spec = JobSpec.from_json(text)
                 rec, deduplicated = self.service.submit(spec)
                 writer.write(_response(200, {
                     "job_id": rec.job_id, "seq": rec.seq,

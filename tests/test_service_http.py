@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 
 import pytest
@@ -74,6 +75,51 @@ def endpoint(tmp_path):
         pass  # already stopped by the test
     thread.join(10)
     assert not thread.is_alive(), "server thread leaked"
+
+
+def _raw_exchange(client: ServiceClient, payload: bytes) -> tuple[int, dict]:
+    """Send *payload* verbatim; return the status and JSON body."""
+    with socket.create_connection((client.host, client.port),
+                                  timeout=30) as sock:
+        sock.sendall(payload)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    assert data, "server closed the connection without a response"
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestMalformedRequests:
+    """Every malformed request gets a 400, and the server keeps serving."""
+
+    def _assert_400(self, endpoint, payload: bytes, match: str) -> None:
+        status, body = _raw_exchange(endpoint, payload)
+        assert status == 400
+        assert match in body["error"]
+        assert endpoint.health()["status"] == "ok"
+
+    def test_non_numeric_content_length(self, endpoint):
+        self._assert_400(endpoint, b"POST /jobs HTTP/1.1\r\n"
+                                   b"Content-Length: ten\r\n\r\n",
+                         "bad content-length 'ten'")
+
+    def test_negative_content_length(self, endpoint):
+        self._assert_400(endpoint, b"POST /jobs HTTP/1.1\r\n"
+                                   b"Content-Length: -5\r\n\r\n",
+                         "bad content-length '-5'")
+
+    def test_non_utf8_header(self, endpoint):
+        self._assert_400(endpoint, b"GET /healthz HTTP/1.1\r\n"
+                                   b"X-Name: caf\xe9\r\n\r\n",
+                         "header is not UTF-8")
+
+    def test_non_utf8_job_body(self, endpoint):
+        body = b'{"model": "caf\xe9"}'
+        self._assert_400(endpoint, b"POST /jobs HTTP/1.1\r\n"
+                                   b"Content-Length: %d\r\n\r\n%s"
+                                   % (len(body), body),
+                         "request body is not UTF-8")
 
 
 class TestHttp:
