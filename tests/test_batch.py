@@ -227,3 +227,52 @@ class TestScalarFallback:
         obs_bytes, dtype = arts[0]["observable"]
         assert np.isnan(np.frombuffer(obs_bytes, dtype=dtype)[0])
         assert arts[0] == compiled
+
+
+#: The differential fuzzer's shrunk reproducer (seed 977, program 54):
+#: ``abs(3)`` is a NumPy integer in the scalar engines, so its product
+#: with the float32 ``sign(3.0, d1)`` is float64 there and storing it
+#: into ``f0`` charges a convert.
+_NUMPY_INT_SOURCE = """\
+module fz
+  implicit none
+  real(kind=8) :: acc
+contains
+  subroutine driver(out)
+    implicit none
+    real(kind=8), intent(out) :: out
+    real(kind=8) :: d0, d1, d2
+    real(kind=4) :: f0, f1
+    acc = 0.25d0
+    d0 = 1.5d0
+    d1 = -0.75d0
+    d2 = 2.25d0
+    f0 = 0.5
+    f1 = 1.75
+    f0 = (abs(3) * sign(3.0, d1))
+    out = d0 + d1 + d2 + f0 + f1 + acc
+  end subroutine driver
+end module fz
+"""
+
+
+class TestNumpyIntegerOperands:
+    def test_fuzz_reproducer_matches_compiled(self):
+        index, vec = _analyzed(_NUMPY_INT_SOURCE)
+        _, arts = _wave(index, vec, [{}])
+        assert arts[0] == _compiled(index, vec, {})
+
+    @pytest.mark.parametrize("expr", [
+        "abs(7) * f1", "(abs(7) + 1) * f1", "-merge(1, 2, d1 > 0.0d0) * f1",
+        "mod(f1, abs(3))", "atan2(abs(3), f1)", "merge(f1, abs(3), d1 > 0)",
+    ])
+    def test_only_float32_lanes_fall_back(self, expr):
+        source = _NUMPY_INT_SOURCE.replace("(abs(3) * sign(3.0, d1))", expr)
+        index, vec = _analyzed(source)
+        overlays = [{}, {"fz::driver::f1": KIND_DOUBLE}]
+        batch, arts = _wave(index, vec, overlays)
+        for lane, overlay in enumerate(overlays):
+            assert arts[lane] == _compiled(index, vec, overlay), (
+                f"lane {lane} diverges from compiled")
+        assert batch.lanes[0].fell_back
+        assert not batch.lanes[1].fell_back
