@@ -91,13 +91,41 @@ def _raw_exchange(client: ServiceClient, payload: bytes) -> tuple[int, dict]:
 
 
 class TestMalformedRequests:
-    """Every malformed request gets a 400, and the server keeps serving."""
+    """Every malformed request gets a typed 4xx, and the server keeps
+    serving."""
 
-    def _assert_400(self, endpoint, payload: bytes, match: str) -> None:
+    def _assert_status(self, endpoint, payload: bytes, expected: int,
+                       match: str) -> None:
         status, body = _raw_exchange(endpoint, payload)
-        assert status == 400
+        assert status == expected
         assert match in body["error"]
         assert endpoint.health()["status"] == "ok"
+
+    def _assert_400(self, endpoint, payload: bytes, match: str) -> None:
+        self._assert_status(endpoint, payload, 400, match)
+
+    def test_header_line_over_the_reader_limit(self, endpoint):
+        self._assert_status(endpoint, b"GET /healthz HTTP/1.1\r\n"
+                                      b"X-Big: " + b"a" * 70_000
+                                      + b"\r\n\r\n",
+                            431, "line too long")
+
+    def test_request_line_over_the_reader_limit(self, endpoint):
+        self._assert_status(endpoint, b"GET /" + b"a" * 70_000
+                                      + b" HTTP/1.1\r\n\r\n",
+                            431, "line too long")
+
+    def test_too_many_header_lines(self, endpoint):
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(500))
+        self._assert_status(endpoint, b"GET /healthz HTTP/1.1\r\n"
+                                      + headers + b"\r\n",
+                            431, "more than 100 header lines")
+
+    def test_header_count_at_the_cap_is_served(self, endpoint):
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(100))
+        status, body = _raw_exchange(endpoint, b"GET /healthz HTTP/1.1\r\n"
+                                     + headers + b"\r\n")
+        assert (status, body["status"]) == (200, "ok")
 
     def test_non_numeric_content_length(self, endpoint):
         self._assert_400(endpoint, b"POST /jobs HTTP/1.1\r\n"
