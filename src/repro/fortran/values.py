@@ -189,7 +189,8 @@ def relative_gap(value: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
     The denominator is floored at the smallest normal float64 so
     references at (or near) zero yield a large-but-finite error instead
-    of dividing by zero; callers mask non-finite inputs beforehand.
+    of dividing by zero; callers mask out the results of non-finite
+    inputs.
     """
     ref = np.asarray(reference, dtype=np.float64)
     floor = np.finfo(np.float64).tiny

@@ -25,7 +25,14 @@ target kind, the local/propagated split, and catastrophic-cancellation
 events (a subtraction whose exact result loses ≥ ``CANCEL_BITS`` bits
 against its larger operand), aggregated per variable and per statement
 (``scope:line`` labels — stable across runs because they come from the
-source, not from object identity).
+source, not from object identity).  The :class:`ShadowRecorder` counts
+each observation and creates its entries at once, but only buffers the
+three float64 sides (scalars in a preallocated array, arrays as
+copies); the error math runs as one set of array operations per
+:attr:`ShadowRecorder.BATCH` observations, and the per-observation
+peaks are folded into the entries in observation order, so the
+statistics are bit-identical to evaluating each observation on its
+own.
 
 The triples are a value domain of the compiled lowering.  The shadow
 compiler (:class:`_ShadowCompiler`) changes two kinds of closure only:
@@ -146,7 +153,18 @@ class _Stats:
 
 
 class ShadowRecorder:
-    """Accumulates per-variable / per-statement error observations."""
+    """Accumulates per-variable / per-statement error observations.
+
+    :meth:`observe` counts an observation and buffers its three float64
+    sides; the error math runs in :meth:`_flush`, once over every
+    :attr:`BATCH` buffered observations (or :attr:`BATCH_ELEMENTS`
+    buffered array elements).  The dict views flush first."""
+
+    #: Observations buffered between two passes of the error math.
+    BATCH = 1024
+    #: Array elements buffered between two passes (bounds the memory
+    #: that large array observations hold).
+    BATCH_ELEMENTS = 1 << 16
 
     def __init__(self) -> None:
         self.variables: dict[str, _Stats] = {}
@@ -155,6 +173,21 @@ class ShadowRecorder:
         self.cancellations = 0
         self.nonfinite = 0
         self.untracked = 0
+        # Pending observations.  Scalar triples fill columns of one
+        # preallocated buffer; array triples are (3, n) copies.  The
+        # pieces list holds both, as buffer runs and copies, in
+        # observation order; the flat lists hold each observation's
+        # entries, kind and element count.
+        self._scalars = np.empty((3, self.BATCH))
+        self._sp, self._ss, self._sm = self._scalars
+        self._n_scalars = 0
+        self._run_start = 0
+        self._pieces: list[np.ndarray] = []
+        self._array_elements = 0
+        self._vars: list[Optional[_Stats]] = []
+        self._stmts: list[Optional[_Stats]] = []
+        self._kinds: list[int] = []
+        self._lengths: list[int] = []
 
     # ------------------------------------------------------------------
 
@@ -171,36 +204,96 @@ class ShadowRecorder:
                 stored: Any, shadow: Any, exact: Any) -> None:
         """One committed assignment: primary *stored* (as float64)
         against the float64 reference *shadow* and the statement-exact
-        value *exact*."""
+        value *exact*.  Arrays are copied: callers may pass live
+        buffers."""
         self.assignments += 1
-        p, s, m = np.broadcast_arrays(
-            np.atleast_1d(np.asarray(stored, dtype=np.float64)),
-            np.atleast_1d(np.asarray(shadow, dtype=np.float64)),
-            np.atleast_1d(np.asarray(exact, dtype=np.float64)))
-        finite = np.isfinite(p) & np.isfinite(s) & np.isfinite(m)
-        n_bad = int(p.size - np.count_nonzero(finite))
-        self.nonfinite += n_bad
-        targets = [t for t in (self._stats(self.variables, qual, kind),
-                               self._stats(self.statements, label, kind))
-                   if t is not None]
-        for st in targets:
-            st.observations += 1
-            st.elements += int(p.size)
-            st.nonfinite += n_bad
-        if not np.any(finite):
+        f64 = np.float64
+        if type(stored) is f64 and type(shadow) is f64 \
+                and type(exact) is f64:
+            i = self._n_scalars
+            self._sp[i] = stored
+            self._ss[i] = shadow
+            self._sm[i] = exact
+            self._n_scalars = i + 1
+            n = 1
+        else:
+            self._close_scalar_run()
+            sides = np.array(np.broadcast_arrays(
+                np.asarray(stored, dtype=f64), np.asarray(shadow, dtype=f64),
+                np.asarray(exact, dtype=f64))).reshape(3, -1)
+            self._pieces.append(sides)
+            n = sides.shape[1]
+            self._array_elements += n
+        var = self._stats(self.variables, qual, kind)
+        stmt = self._stats(self.statements, label, kind)
+        for st in (var, stmt):
+            if st is not None:
+                st.observations += 1
+                st.elements += n
+        self._vars.append(var)
+        self._stmts.append(stmt)
+        self._kinds.append(kind)
+        self._lengths.append(n)
+        if len(self._lengths) == self.BATCH \
+                or self._array_elements >= self.BATCH_ELEMENTS:
+            self._flush()
+
+    def _close_scalar_run(self) -> None:
+        if self._run_start < self._n_scalars:
+            self._pieces.append(
+                self._scalars[:, self._run_start:self._n_scalars])
+            self._run_start = self._n_scalars
+
+    def _flush(self) -> None:
+        """Run the error math once over every pending observation and
+        fold each observation's peaks into its entries, in order."""
+        lengths = self._lengths
+        if not lengths:
             return
-        p, s, m = p[finite], s[finite], m[finite]
-        rel = float(np.max(relative_gap(p, s)))
-        local = float(np.max(relative_gap(p, m)))
-        prop = float(np.max(relative_gap(m, s)))
-        ulp = float(np.max(ulp_distance(p, s, kind)))
-        for st in targets:
-            st.max_rel = max(st.max_rel, rel)
-            st.sum_rel += rel
-            st.last_rel = rel
-            st.max_ulp = max(st.max_ulp, ulp)
-            st.max_local = max(st.max_local, local)
-            st.max_prop = max(st.max_prop, prop)
+        self._close_scalar_run()
+        p, s, m = np.concatenate(self._pieces, axis=1)
+        counts = np.array(lengths)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        elem_kinds = np.repeat(self._kinds, counts)
+        with np.errstate(all="ignore"):
+            bad = ~(np.isfinite(p) & np.isfinite(s) & np.isfinite(m))
+            ulp = np.empty_like(p)
+            for kind in set(self._kinds):
+                sel = elem_kinds == kind
+                ulp[sel] = ulp_distance(p[sel], s[sel], kind)
+            errors = np.stack([relative_gap(p, s), ulp, relative_gap(p, m),
+                               relative_gap(m, s)])
+        errors[:, bad] = -np.inf
+        bad_before = np.concatenate(([0], np.cumsum(bad)))
+        n_bad = (bad_before[ends] - bad_before[starts]).tolist()
+        self.nonfinite += int(bad_before[-1])
+        live = counts > 0
+        peaks = zip(*np.maximum.reduceat(errors, starts[live], axis=1)
+                    .tolist()) if live.any() else iter(())
+        for var, stmt, n, nb in zip(self._vars, self._stmts, lengths, n_bad):
+            if not n:
+                continue
+            rel, ulp_max, local, prop = next(peaks)
+            targets = [st for st in (var, stmt) if st is not None]
+            if nb:
+                for st in targets:
+                    st.nonfinite += nb
+                if nb == n:
+                    continue
+            for st in targets:
+                st.max_rel = max(st.max_rel, rel)
+                st.sum_rel += rel
+                st.last_rel = rel
+                st.max_ulp = max(st.max_ulp, ulp_max)
+                st.max_local = max(st.max_local, local)
+                st.max_prop = max(st.max_prop, prop)
+        self._n_scalars = self._run_start = self._array_elements = 0
+        self._pieces.clear()
+        self._vars.clear()
+        self._stmts.clear()
+        self._kinds.clear()
+        self._lengths.clear()
 
     def cancellation(self, qual: Optional[str], label: Optional[str],
                      kind: int, count: int) -> None:
@@ -214,12 +307,15 @@ class ShadowRecorder:
     # ------------------------------------------------------------------
 
     def variables_dict(self) -> dict[str, dict[str, float]]:
+        self._flush()
         return {q: st.to_dict() for q, st in sorted(self.variables.items())}
 
     def statements_dict(self) -> dict[str, dict[str, float]]:
+        self._flush()
         return {s: st.to_dict() for s, st in sorted(self.statements.items())}
 
     def counters_dict(self) -> dict[str, int]:
+        self._flush()
         return {
             "assignments": self.assignments,
             "cancellations": self.cancellations,
