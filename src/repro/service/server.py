@@ -38,12 +38,16 @@ __all__ = ["ServiceServer"]
 
 _MAX_BODY = 1 << 20  # 1 MiB: job specs are small; refuse anything huge
 _MAX_HEADERS = 100   # header lines per request; more is answered with 431
+#: Seconds a client has to send its whole request (line, headers and
+#: body); a slower one is answered with 408 so it cannot hold a handler.
+_READ_DEADLINE = 30.0
 
 
 def _response(status: int, payload: object, *,
               content_type: str = "application/json") -> bytes:
     reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-               405: "Method Not Allowed", 409: "Conflict",
+               405: "Method Not Allowed", 408: "Request Timeout",
+               409: "Conflict",
                413: "Payload Too Large",
                431: "Request Header Fields Too Large",
                500: "Internal Server Error"}
@@ -77,6 +81,45 @@ async def _read_headers(reader: asyncio.StreamReader) -> list[bytes]:
         if len(lines) == _MAX_HEADERS:
             raise _HeadTooLarge(f"more than {_MAX_HEADERS} header lines")
         lines.append(line)
+
+
+async def _read_request(reader: asyncio.StreamReader,
+                        writer: asyncio.StreamWriter
+                        ) -> Optional[tuple[str, str, bytes]]:
+    """Read one request as ``(method, target, body)``; a malformed
+    one is answered here with a 400 or 413 and gives None; an
+    oversized head raises :class:`_HeadTooLarge`."""
+    request_line = await _read_line(reader)
+    if not request_line:
+        return None
+    try:
+        method, target, _ = request_line.decode().split(None, 2)
+    except ValueError:
+        writer.write(_response(400, {"error": "bad request line"}))
+        return None
+    header_lines = await _read_headers(reader)
+    headers = {}
+    for line in header_lines:
+        try:
+            name, _, value = line.decode().partition(":")
+        except UnicodeDecodeError:
+            writer.write(_response(400, {"error": "header is not UTF-8"}))
+            return None
+        headers[name.strip().lower()] = value.strip()
+    raw_length = headers.get("content-length") or "0"
+    try:
+        length = int(raw_length)
+    except ValueError:
+        length = -1
+    if length < 0:
+        writer.write(_response(400, {
+            "error": f"bad content-length {raw_length!r}"}))
+        return None
+    if length > _MAX_BODY:
+        writer.write(_response(413, {"error": "body too large"}))
+        return None
+    body = await reader.readexactly(length) if length else b""
+    return method, target, body
 
 
 async def _discard_rest(reader: asyncio.StreamReader,
@@ -195,43 +238,19 @@ class ServiceServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                request_line = await _read_line(reader)
-                if not request_line:
-                    return
-                try:
-                    method, target, _ = request_line.decode().split(None, 2)
-                except ValueError:
-                    writer.write(_response(
-                        400, {"error": "bad request line"}))
-                    return
-                header_lines = await _read_headers(reader)
+                request = await asyncio.wait_for(
+                    _read_request(reader, writer), _READ_DEADLINE)
+            except asyncio.TimeoutError:
+                writer.write(_response(408, {
+                    "error": f"request not received within "
+                             f"{_READ_DEADLINE:g}s"}))
+                return
             except _HeadTooLarge as exc:
                 writer.write(_response(431, {"error": str(exc)}))
                 await _discard_rest(reader, writer)
                 return
-            headers = {}
-            for line in header_lines:
-                try:
-                    name, _, value = line.decode().partition(":")
-                except UnicodeDecodeError:
-                    writer.write(_response(
-                        400, {"error": "header is not UTF-8"}))
-                    return
-                headers[name.strip().lower()] = value.strip()
-            raw_length = headers.get("content-length") or "0"
-            try:
-                length = int(raw_length)
-            except ValueError:
-                length = -1
-            if length < 0:
-                writer.write(_response(400, {
-                    "error": f"bad content-length {raw_length!r}"}))
-                return
-            if length > _MAX_BODY:
-                writer.write(_response(413, {"error": "body too large"}))
-                return
-            body = await reader.readexactly(length) if length else b""
-            await self._route(method, target, body, writer)
+            if request is not None:
+                await self._route(*request, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:

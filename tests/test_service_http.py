@@ -11,6 +11,7 @@ import asyncio
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.errors import JobNotFound, ServiceError, SpecError
 from repro.models import FunarcCase
 from repro.service import (CampaignService, JobSpec, ServiceClient,
                            ServiceServer)
+from repro.service import server as server_module
 
 _CASE_KW = dict(n=150, error_threshold=4.5e-8)
 
@@ -148,6 +150,32 @@ class TestMalformedRequests:
                                    b"Content-Length: %d\r\n\r\n%s"
                                    % (len(body), body),
                          "request body is not UTF-8")
+
+
+class TestReadDeadline:
+    """A client that stops sending mid-request gets a 408 once the read
+    deadline passes, and the server keeps serving."""
+
+    _DEADLINE = 0.5
+
+    def _assert_408(self, endpoint, monkeypatch, payload: bytes) -> None:
+        monkeypatch.setattr(server_module, "_READ_DEADLINE", self._DEADLINE)
+        start = time.monotonic()
+        status, body = _raw_exchange(endpoint, payload)
+        elapsed = time.monotonic() - start
+        assert status == 408
+        assert "not received within 0.5s" in body["error"]
+        assert self._DEADLINE <= elapsed < self._DEADLINE + 10
+        assert endpoint.health()["status"] == "ok"
+
+    def test_stalled_head(self, endpoint, monkeypatch):
+        self._assert_408(endpoint, monkeypatch,
+                         b"GET /healthz HTTP/1.1\r\nX-Partial: a")
+
+    def test_short_body(self, endpoint, monkeypatch):
+        self._assert_408(endpoint, monkeypatch,
+                         b"POST /jobs HTTP/1.1\r\nContent-Length: 100"
+                         b"\r\n\r\n{\"model\": ")
 
 
 class TestHttp:
